@@ -16,15 +16,9 @@ std::vector<VertexId> DijkstraOracle::Path(VertexId u, VertexId v) {
   return DijkstraPath(*graph_, u, v);
 }
 
-thread_local std::int64_t* CachedOracle::bill_sink_ = nullptr;
-
 double CachedOracle::Distance(VertexId u, VertexId v) {
   MaybeInject(faults_, FaultSite::kOracleDelay);
-  if (bill_sink_ != nullptr) {
-    ++*bill_sink_;
-  } else {
-    ++query_count_;
-  }
+  ++query_count_;
   if (u == v) return 0.0;
   // The network is undirected: canonicalize the key.
   const std::pair<VertexId, VertexId> key =
@@ -42,11 +36,7 @@ void CachedOracle::BatchQuery(const std::vector<VertexId>& sources,
   const std::size_t ns = sources.size();
   const std::size_t nt = targets.size();
   const auto pairs = static_cast<std::int64_t>(ns) * static_cast<std::int64_t>(nt);
-  if (bill_sink_ != nullptr) {
-    *bill_sink_ += pairs;
-  } else {
-    query_count_.fetch_add(pairs, std::memory_order_relaxed);
-  }
+  query_count_.fetch_add(pairs, std::memory_order_relaxed);
   out->assign(ns * nt, 0.0);
   // Per-target miss list: unique missing sources plus the out cells each
   // fills. A repeated (s, t) miss consults the inner oracle once, exactly
