@@ -451,7 +451,9 @@ void HubLabelOracle::BatchQuery(const std::vector<VertexId>& sources,
   };
   if (nt == 2) {
     // The planner's dominant shape — route positions x {origin,
-    // destination} — keeps both accumulators in registers.
+    // destination}, which CachedOracle forwards as one batch of every
+    // source that missed in either column — keeps both accumulators in
+    // registers.
     for (std::size_t i = 0; i < ns; ++i) {
       const VertexId s = sources[i];
       const auto bs =

@@ -3,12 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/graph/road_network.h"
-#include "src/util/sharded_lru_cache.h"
+#include "src/util/distance_cache.h"
 
 namespace urpsm {
 
@@ -98,30 +96,35 @@ class DijkstraOracle : public DistanceOracle {
   const RoadNetwork* graph_;
 };
 
-/// Decorator adding the paper's shared LRU cache on top of any oracle.
+/// Decorator adding the paper's shared distance cache on top of any oracle.
 /// Cache hits do not count as queries of the inner oracle but do count as
 /// queries of this oracle (the paper's "saved queries" metric counts calls
 /// that never happen at all thanks to pruning, not cache hits).
 ///
-/// The cache is sharded with striped locks, so concurrent `Distance` calls
-/// from the parallel planner only serialize when they collide on a shard.
-/// Two threads racing on the same cold key may both consult the inner
-/// oracle; both obtain the same exact value, so results are unaffected.
+/// The cache is a flat 4-way set-associative table (DistanceCache) keyed
+/// by the unordered vertex pair, with per-set LRU eviction and striped
+/// locks, so concurrent calls from the parallel planner only serialize
+/// when they collide on a lock stripe. Two threads racing on the same cold
+/// key may both consult the inner oracle; both obtain the same exact
+/// value, so results are unaffected.
 class CachedOracle : public DistanceOracle {
  public:
   /// `inner` is borrowed, not owned: oracles (hub labels in particular)
-  /// are built once and shared across many simulation runs.
+  /// are built once and shared across many simulation runs. `capacity`
+  /// bounds the cached entries; 0 disables caching.
   CachedOracle(DistanceOracle* inner, std::size_t capacity)
       : inner_(inner), cache_(capacity) {}
 
   double Distance(VertexId u, VertexId v) override;
   std::vector<VertexId> Path(VertexId u, VertexId v) override;
 
-  /// Batched sweep through the cache: hits are served from the cache, the
-  /// misses of each target column are forwarded to the inner oracle as one
-  /// (deduplicated) BatchQuery, and results are inserted back. Cell values
-  /// and billed query counts are identical to per-pair Distance calls; only
-  /// the cache's LRU touch order differs.
+  /// Batched sweep through the cache: the sets of all cells are prefetched,
+  /// then probed; every source that misses in any target column is
+  /// forwarded once, in one inner BatchQuery against all targets (the
+  /// labels' fused multi-target walk), and only the missed cells are
+  /// inserted back. Cell values and billed query counts are identical to
+  /// per-pair Distance calls. Scratch is thread-local: no allocation per
+  /// call once warm.
   void BatchQuery(const std::vector<VertexId>& sources,
                   const std::vector<VertexId>& targets,
                   std::vector<double>* out) override;
@@ -146,16 +149,8 @@ class CachedOracle : public DistanceOracle {
   void set_faults(FaultInjector* faults) { faults_ = faults; }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const std::pair<VertexId, VertexId>& k) const {
-      return std::hash<std::int64_t>()(
-          (static_cast<std::int64_t>(k.first) << 32) |
-          static_cast<std::uint32_t>(k.second));
-    }
-  };
-
   DistanceOracle* inner_;
-  ShardedLruCache<std::pair<VertexId, VertexId>, double, KeyHash> cache_;
+  DistanceCache cache_;
   FaultInjector* faults_ = nullptr;
 };
 

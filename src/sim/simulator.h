@@ -25,7 +25,9 @@ struct SimOptions {
   /// Abort when cumulative planning wall time exceeds this (seconds);
   /// mirrors the paper's 10/20-hour kill switch under which kinetic DNFs.
   double wall_limit_seconds = 1e18;
-  /// Shared LRU cache capacity for distance queries (0 disables).
+  /// Entry bound of the shared distance cache (0 disables). The cache is
+  /// a flat 4-way set-associative table with per-set LRU eviction, sized
+  /// to the largest power-of-two set count that fits the bound.
   std::size_t cache_capacity = 1 << 20;
   /// Threads available to planners that use the parallel dispatch engine
   /// (ParallelGreedyDpPlanner, DispatchWindowPlanner). 1 keeps the run

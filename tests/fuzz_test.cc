@@ -3,63 +3,79 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "src/index/grid_index.h"
 #include "src/sim/fleet.h"
 #include "src/sim/metrics.h"
-#include "src/util/lru_cache.h"
+#include "src/util/distance_cache.h"
 #include "tests/test_util.h"
 
 namespace urpsm {
 namespace {
 
-/// Reference LRU built on std::list + std::map, compared operation by
-/// operation against the production cache under a random op stream.
+/// Reference set-associative LRU: one std::list per set, most recently
+/// used first, with the cache's own set mapping and way count. Compared
+/// operation by operation against DistanceCache under a random op stream.
 class ReferenceLru {
  public:
-  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
-  std::optional<int> Get(int key) {
-    auto it = std::find_if(items_.begin(), items_.end(),
+  explicit ReferenceLru(const DistanceCache& shape)
+      : shape_(shape), sets_(shape.num_sets()) {}
+  std::optional<double> Get(std::uint64_t key) {
+    auto& items = sets_[shape_.SetOf(key)];
+    auto it = std::find_if(items.begin(), items.end(),
                            [&](const auto& kv) { return kv.first == key; });
-    if (it == items_.end()) return std::nullopt;
-    items_.splice(items_.begin(), items_, it);
+    if (it == items.end()) return std::nullopt;
+    items.splice(items.begin(), items, it);
     return it->second;
   }
-  void Put(int key, int value) {
-    if (capacity_ == 0) return;
-    auto it = std::find_if(items_.begin(), items_.end(),
+  void Put(std::uint64_t key, double value) {
+    if (shape_.ways() == 0) return;
+    auto& items = sets_[shape_.SetOf(key)];
+    auto it = std::find_if(items.begin(), items.end(),
                            [&](const auto& kv) { return kv.first == key; });
-    if (it != items_.end()) {
+    if (it != items.end()) {
       it->second = value;
-      items_.splice(items_.begin(), items_, it);
+      items.splice(items.begin(), items, it);
       return;
     }
-    if (items_.size() >= capacity_) items_.pop_back();
-    items_.emplace_front(key, value);
+    if (items.size() >= static_cast<std::size_t>(shape_.ways())) {
+      items.pop_back();
+    }
+    items.emplace_front(key, value);
   }
 
  private:
-  std::size_t capacity_;
-  std::list<std::pair<int, int>> items_;
+  const DistanceCache& shape_;
+  std::vector<std::list<std::pair<std::uint64_t, double>>> sets_;
 };
 
 class FuzzSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzSweep, LruMatchesReference) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 1);
-  const std::size_t capacity = static_cast<std::size_t>(rng.UniformInt(1, 8));
-  LruCache<int, int> cache(capacity);
-  ReferenceLru ref(capacity);
+  const std::size_t capacity = static_cast<std::size_t>(rng.UniformInt(1, 12));
+  DistanceCache cache(capacity);
+  ReferenceLru ref(cache);
   for (int op = 0; op < 3000; ++op) {
-    const int key = rng.UniformInt(0, 12);  // small key space forces churn
+    // Small nonzero key space forces churn.
+    const auto key = static_cast<std::uint64_t>(rng.UniformInt(1, 13));
     if (rng.Bernoulli(0.5)) {
-      const int value = rng.UniformInt(0, 1000);
+      const double value = rng.UniformInt(0, 1000);
       cache.Put(key, value);
       ref.Put(key, value);
+      ASSERT_LE(cache.size(), capacity) << "op " << op;
     } else {
-      EXPECT_EQ(cache.Get(key), ref.Get(key)) << "op " << op;
+      double got = 0.0;
+      const bool hit = cache.Get(key, &got);
+      const std::optional<double> want = ref.Get(key);
+      ASSERT_EQ(hit, want.has_value()) << "op " << op;
+      if (hit) {
+        EXPECT_EQ(got, *want) << "op " << op;
+      }
     }
   }
 }

@@ -319,17 +319,42 @@ TEST(OracleBatchQueryTest, EmptySetsAreSafe) {
   EXPECT_TRUE(out.empty());
 }
 
+/// Forwards to `inner` and counts the BatchQuery calls it receives.
+class BatchCountingOracle : public DistanceOracle {
+ public:
+  explicit BatchCountingOracle(DistanceOracle* inner) : inner_(inner) {}
+  double Distance(VertexId u, VertexId v) override {
+    ++query_count_;
+    return inner_->Distance(u, v);
+  }
+  std::vector<VertexId> Path(VertexId u, VertexId v) override {
+    return inner_->Path(u, v);
+  }
+  void BatchQuery(const std::vector<VertexId>& sources,
+                  const std::vector<VertexId>& targets,
+                  std::vector<double>* out) override {
+    ++batch_calls;
+    query_count_ += static_cast<std::int64_t>(sources.size() * targets.size());
+    inner_->BatchQuery(sources, targets, out);
+  }
+  int batch_calls = 0;
+
+ private:
+  DistanceOracle* inner_;
+};
+
 TEST(OracleBatchQueryTest, CachedOracleBatchMatchesAndBills) {
   Rng grng(44);
   const RoadNetwork g = MakeRandomGeometricGraph(150, 11.0, 4, &grng);
   HubLabelOracle labels = HubLabelOracle::Build(g);
   Rng rng(21);
   for (int round = 0; round < 2; ++round) {
-    CachedOracle cached(&labels, 4096);
+    BatchCountingOracle counting(&labels);
+    CachedOracle cached(&counting, 4096);
     CachedOracle reference(&labels, 4096);
-    for (int trial = 0; trial < 20; ++trial) {
+    for (int trial = 0; trial < 30; ++trial) {
       const int ns = rng.UniformInt(1, 8);
-      const int nt = rng.UniformInt(1, 3);
+      const int nt = 1 + trial % 3;  // 1, 2 (the fused walk) and 3 targets
       std::vector<VertexId> sources, targets;
       for (int i = 0; i < ns; ++i) {
         sources.push_back(rng.UniformInt(0, g.num_vertices() - 1));
@@ -338,19 +363,73 @@ TEST(OracleBatchQueryTest, CachedOracleBatchMatchesAndBills) {
         targets.push_back(rng.UniformInt(0, g.num_vertices() - 1));
       }
       if (trial % 2 == 0 && ns > 2) sources[2] = sources[0];  // dup miss
+      if (trial % 5 == 0 && ns > 1) sources[1] = targets[0];  // s == t cell
       std::vector<double> out;
+      const int calls_before = counting.batch_calls;
       cached.BatchQuery(sources, targets, &out);
+      // All misses of one batch go to the inner oracle in one call.
+      EXPECT_LE(counting.batch_calls - calls_before, 1);
       for (int i = 0; i < ns; ++i) {
         for (int j = 0; j < nt; ++j) {
+          const VertexId s = sources[static_cast<std::size_t>(i)];
+          const VertexId t = targets[static_cast<std::size_t>(j)];
+          // Bit-equal to the point query, through a cache or not.
           EXPECT_EQ(out[static_cast<std::size_t>(i * nt + j)],
-                    reference.Distance(sources[static_cast<std::size_t>(i)],
-                                       targets[static_cast<std::size_t>(j)]));
+                    reference.Distance(s, t));
+          EXPECT_EQ(out[static_cast<std::size_t>(i * nt + j)],
+                    labels.Distance(s, t));
         }
       }
       // Billing parity: the batch bills every cell, like per-pair calls.
       EXPECT_EQ(cached.query_count(), reference.query_count());
+
+      // The same batch again hits every cell: no inner call at all.
+      std::vector<double> again;
+      const int calls_warm = counting.batch_calls;
+      const std::int64_t inner_warm = counting.query_count();
+      cached.BatchQuery(sources, targets, &again);
+      EXPECT_EQ(counting.batch_calls, calls_warm);
+      EXPECT_EQ(counting.query_count(), inner_warm);
+      EXPECT_EQ(again, out);
+      EXPECT_EQ(cached.query_count(),
+                reference.query_count() + static_cast<std::int64_t>(ns) * nt);
+      reference.ResetQueryCount();
+      cached.ResetQueryCount();
+    }
+    EXPECT_GT(counting.batch_calls, 0);
+  }
+}
+
+TEST(OracleBatchQueryTest, NestedCachedOraclesMatchPointQueries) {
+  // A cache over a cache: the inner BatchQuery runs on the same thread in
+  // the middle of the outer one and must not disturb its state.
+  Rng grng(45);
+  const RoadNetwork g = MakeRandomGeometricGraph(120, 10.0, 4, &grng);
+  HubLabelOracle labels = HubLabelOracle::Build(g);
+  CachedOracle lower(&labels, 64);
+  CachedOracle upper(&lower, 16);
+  Rng rng(22);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int ns = rng.UniformInt(1, 10);
+    std::vector<VertexId> sources, targets;
+    for (int i = 0; i < ns; ++i) {
+      sources.push_back(rng.UniformInt(0, 14));  // small pools: repeats hit
+    }
+    targets = {rng.UniformInt(0, 5), rng.UniformInt(0, 5)};
+    std::vector<double> out;
+    upper.BatchQuery(sources, targets, &out);
+    ASSERT_EQ(out.size(), static_cast<std::size_t>(ns) * 2);
+    for (int i = 0; i < ns; ++i) {
+      for (int j = 0; j < 2; ++j) {
+        EXPECT_EQ(out[static_cast<std::size_t>(i * 2 + j)],
+                  labels.Distance(sources[static_cast<std::size_t>(i)],
+                                  targets[static_cast<std::size_t>(j)]))
+            << "trial " << trial << " i=" << i << " j=" << j;
+      }
     }
   }
+  EXPECT_GT(upper.cache_hits(), 0);
+  EXPECT_GT(lower.cache_hits(), 0);
 }
 
 TEST(OracleBatchQueryTest, GatherColumnsMatchReferenceFuzz) {

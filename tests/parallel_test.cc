@@ -1,9 +1,10 @@
 // Tests for the parallel dispatch engine: ThreadPool/ParallelFor,
-// ShardedLruCache, the concurrent CachedOracle path, and the determinism
+// DistanceCache, the concurrent CachedOracle path, and the determinism
 // regression proving ParallelGreedyDpPlanner is bit-identical to the
 // sequential GreedyDP planners for every thread count.
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -14,7 +15,7 @@
 #include "src/parallel/thread_pool.h"
 #include "src/shortest/hub_labels.h"
 #include "src/sim/simulator.h"
-#include "src/util/sharded_lru_cache.h"
+#include "src/util/distance_cache.h"
 #include "src/workload/city.h"
 #include "src/workload/requests.h"
 
@@ -106,51 +107,59 @@ TEST(ThreadPoolTest, ParallelMapReturnsPerIndexValues) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(squares[static_cast<std::size_t>(i)], i * i);
 }
 
-// ---------------------------------------------------------- ShardedLruCache
+// ------------------------------------- DistanceCache behind striped locks
 
 TEST(ShardedLruCacheTest, PutGetAndCounters) {
-  ShardedLruCache<int, int> cache(64, 4);
-  EXPECT_EQ(cache.num_shards(), 4u);
-  EXPECT_FALSE(cache.Get(1).has_value());
+  DistanceCache cache(64);
+  EXPECT_EQ(cache.num_sets(), 16u);
+  double v = 0.0;
+  EXPECT_FALSE(cache.Get(1, &v));
   cache.Put(1, 10);
   cache.Put(2, 20);
-  ASSERT_TRUE(cache.Get(1).has_value());
-  EXPECT_EQ(*cache.Get(1), 10);
-  EXPECT_EQ(*cache.Get(2), 20);
+  ASSERT_TRUE(cache.Get(1, &v));
+  ASSERT_TRUE(cache.Get(1, &v));
+  EXPECT_EQ(v, 10);
+  ASSERT_TRUE(cache.Get(2, &v));
+  EXPECT_EQ(v, 20);
   EXPECT_EQ(cache.hits(), 3);
   EXPECT_EQ(cache.misses(), 1);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Get(1).has_value());
+  EXPECT_FALSE(cache.Get(1, &v));
 }
 
-TEST(ShardedLruCacheTest, ShardCountRoundsUpToPowerOfTwo) {
-  ShardedLruCache<int, int> cache(100, 5);
-  EXPECT_EQ(cache.num_shards(), 8u);
-  ShardedLruCache<int, int> one(100, 1);
-  EXPECT_EQ(one.num_shards(), 1u);
-  one.Put(3, 33);
-  EXPECT_EQ(*one.Get(3), 33);
+TEST(ShardedLruCacheTest, SetCountIsLargestPowerOfTwoWithinCapacity) {
+  const DistanceCache cache(100);
+  EXPECT_EQ(cache.ways(), 4);
+  EXPECT_EQ(cache.num_sets(), 16u);  // 64 <= 100 < 128 slots
+  const DistanceCache paper(std::size_t{1} << 20);
+  EXPECT_EQ(paper.num_sets(), std::size_t{1} << 18);
+  DistanceCache three(3);
+  EXPECT_EQ(three.ways(), 3);
+  EXPECT_EQ(three.num_sets(), 1u);
+  three.Put(3, 33);
+  double v = 0.0;
+  ASSERT_TRUE(three.Get(3, &v));
+  EXPECT_EQ(v, 33);
 }
 
 TEST(ShardedLruCacheTest, EvictionKeepsSizeBounded) {
-  // Per-shard capacity is ceil(64/4) = 16, so the total never exceeds 64
-  // no matter how the keys hash.
-  ShardedLruCache<int, int> cache(64, 4);
-  for (int k = 0; k < 10000; ++k) cache.Put(k, k);
+  DistanceCache cache(64);
+  for (std::uint64_t k = 1; k <= 10000; ++k) cache.Put(k, static_cast<double>(k));
   EXPECT_LE(cache.size(), 64u);
   EXPECT_GT(cache.size(), 0u);
 }
 
 TEST(ShardedLruCacheTest, ZeroCapacityDisablesCaching) {
-  ShardedLruCache<int, int> cache(0, 8);
+  DistanceCache cache(0);
   cache.Put(1, 10);
-  EXPECT_FALSE(cache.Get(1).has_value());
+  double v = 0.0;
+  EXPECT_FALSE(cache.Get(1, &v));
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ShardedLruCacheTest, ConcurrentHammerNeverReturnsWrongValue) {
-  ShardedLruCache<int, std::int64_t> cache(256, 8);
+  DistanceCache cache(256);
   constexpr int kThreads = 8, kOps = 20000, kKeys = 512;
   std::atomic<bool> corrupt{false};
   std::atomic<std::int64_t> gets{0};
@@ -161,13 +170,14 @@ TEST(ShardedLruCacheTest, ConcurrentHammerNeverReturnsWrongValue) {
       std::uint64_t state = 0x9e3779b97f4a7c15ULL * (t + 1);
       for (int op = 0; op < kOps; ++op) {
         state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        const int key = static_cast<int>(state >> 33) % kKeys;
+        const std::uint64_t key = (state >> 33) % kKeys + 1;
         if ((state & 1) != 0u) {
-          cache.Put(key, static_cast<std::int64_t>(key) * 3);
+          cache.Put(key, static_cast<double>(key) * 3);
         } else {
           gets.fetch_add(1);
-          if (auto hit = cache.Get(key)) {
-            if (*hit != static_cast<std::int64_t>(key) * 3) corrupt.store(true);
+          double v = 0.0;
+          if (cache.Get(key, &v) && v != static_cast<double>(key) * 3) {
+            corrupt.store(true);
           }
         }
       }
@@ -230,6 +240,85 @@ TEST(CachedOracleConcurrencyTest, ConcurrentDistancesMatchSequential) {
   EXPECT_FALSE(mismatch.load());
   // Every top-level call is counted exactly once, concurrency or not.
   EXPECT_EQ(cached.query_count(), static_cast<std::int64_t>(kThreads) * kPairs);
+}
+
+TEST(CachedOracleConcurrencyTest, ConcurrentBatchQueriesMatchDijkstraAndBill) {
+  // Route-shaped ns x 2 batches (route positions x {origin, destination})
+  // from 6 threads, with repeated sources and s == t cells, through a
+  // cache far smaller than the pair space so sets evict constantly.
+  const RoadNetwork graph = MakeCity({12, 12, 0.3, 4, 12, 0.1, 0.02, 5});
+  HubLabelOracle labels = HubLabelOracle::Build(graph);
+  CachedOracle cached(&labels, 37);  // 8 sets x 4 ways
+
+  constexpr int kPool = 24, kThreads = 6, kBatches = 300;
+  const int n = graph.num_vertices();
+  std::vector<VertexId> pool;
+  for (int i = 0; i < kPool; ++i) pool.push_back((i * 37 + 5) % n);
+  // Truth per pool pair: exact Dijkstra, and the labels' own point query
+  // that every cached cell must equal bit for bit.
+  DijkstraOracle dijkstra(&graph);
+  std::vector<double> exact(kPool * kPool), point(kPool * kPool);
+  for (int a = 0; a < kPool; ++a) {
+    for (int b = 0; b < kPool; ++b) {
+      const auto at = static_cast<std::size_t>(a * kPool + b);
+      exact[at] = dijkstra.Distance(pool[static_cast<std::size_t>(a)],
+                                    pool[static_cast<std::size_t>(b)]);
+      point[at] = labels.Distance(pool[static_cast<std::size_t>(a)],
+                                  pool[static_cast<std::size_t>(b)]);
+    }
+  }
+
+  std::atomic<bool> mismatch{false};
+  std::atomic<std::int64_t> billed{0};
+  std::atomic<std::int64_t> probes{0};  // cells with s != t
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::uint64_t state = 0x2545f4914f6cdd1dULL * (t + 1);
+      const auto next = [&](int bound) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<int>((state >> 33) % static_cast<std::uint64_t>(bound));
+      };
+      std::vector<int> src_at, dst_at;
+      std::vector<VertexId> sources, targets(2);
+      std::vector<double> out;
+      for (int b = 0; b < kBatches; ++b) {
+        const int ns = 1 + next(9);
+        src_at.resize(static_cast<std::size_t>(ns));
+        for (int& i : src_at) i = next(kPool);
+        if (ns > 2) src_at[2] = src_at[0];  // repeated source
+        dst_at = {next(kPool), next(kPool)};
+        if (ns > 1) src_at[1] = dst_at[0];  // s == t cell
+        sources.clear();
+        for (const int i : src_at) sources.push_back(pool[static_cast<std::size_t>(i)]);
+        for (std::size_t j = 0; j < 2; ++j) {
+          targets[j] = pool[static_cast<std::size_t>(dst_at[j])];
+        }
+        cached.BatchQuery(sources, targets, &out);
+        billed.fetch_add(2 * ns);
+        for (int i = 0; i < ns; ++i) {
+          for (std::size_t j = 0; j < 2; ++j) {
+            const auto at =
+                static_cast<std::size_t>(src_at[static_cast<std::size_t>(i)] * kPool + dst_at[j]);
+            const double got = out[static_cast<std::size_t>(i) * 2 + j];
+            if (got != point[at] || std::abs(got - exact[at]) > 1e-9) {
+              mismatch.store(true);
+            }
+            if (sources[static_cast<std::size_t>(i)] != targets[j]) probes.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(mismatch.load());
+  // Billing parity: every cell of every batch is one query, as with
+  // per-pair Distance calls, and every s != t cell is one probe.
+  EXPECT_EQ(cached.query_count(), billed.load());
+  EXPECT_EQ(cached.cache_hits() + cached.cache_misses(), probes.load());
+  EXPECT_GT(cached.cache_hits(), 0);
+  EXPECT_GT(cached.cache_misses(), 0);
 }
 
 // ------------------------------------------------- determinism regression

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "src/obs/tdigest.h"
-#include "src/util/lru_cache.h"
+#include "src/util/distance_cache.h"
 #include "src/util/rng.h"
 #include "src/util/scratch.h"
 #include "src/util/stats.h"
@@ -16,59 +16,123 @@
 namespace urpsm {
 namespace {
 
+// DistanceCache (src/util/distance_cache.h): per-set LRU over 4-way sets.
+// A capacity below 4 gives one set, i.e. one exact LRU.
+
 TEST(LruCacheTest, MissOnEmpty) {
-  LruCache<int, int> cache(4);
-  EXPECT_FALSE(cache.Get(1).has_value());
+  DistanceCache cache(4);
+  double v = 0.0;
+  EXPECT_FALSE(cache.Get(1, &v));
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 0);
 }
 
 TEST(LruCacheTest, PutThenGet) {
-  LruCache<int, std::string> cache(4);
-  cache.Put(1, "a");
-  auto hit = cache.Get(1);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, "a");
+  DistanceCache cache(4);
+  cache.Put(1, 2.5);
+  double v = 0.0;
+  ASSERT_TRUE(cache.Get(1, &v));
+  EXPECT_EQ(v, 2.5);
   EXPECT_EQ(cache.hits(), 1);
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<int, int> cache(2);
+  DistanceCache cache(2);  // one set of two ways: an exact LRU
+  double v = 0.0;
   cache.Put(1, 10);
   cache.Put(2, 20);
-  ASSERT_TRUE(cache.Get(1).has_value());  // 1 becomes MRU
-  cache.Put(3, 30);                       // evicts 2
-  EXPECT_FALSE(cache.Get(2).has_value());
-  EXPECT_TRUE(cache.Get(1).has_value());
-  EXPECT_TRUE(cache.Get(3).has_value());
+  ASSERT_TRUE(cache.Get(1, &v));  // 1 becomes MRU
+  cache.Put(3, 30);               // evicts 2
+  EXPECT_FALSE(cache.Get(2, &v));
+  EXPECT_TRUE(cache.Get(1, &v));
+  EXPECT_TRUE(cache.Get(3, &v));
 }
 
 TEST(LruCacheTest, PutRefreshesExistingKey) {
-  LruCache<int, int> cache(2);
+  DistanceCache cache(2);
   cache.Put(1, 10);
   cache.Put(2, 20);
   cache.Put(1, 11);  // refresh: 1 becomes MRU, size stays 2
   cache.Put(3, 30);  // evicts 2
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(*cache.Get(1), 11);
-  EXPECT_FALSE(cache.Get(2).has_value());
+  double v = 0.0;
+  ASSERT_TRUE(cache.Get(1, &v));
+  EXPECT_EQ(v, 11);
+  EXPECT_FALSE(cache.Get(2, &v));
 }
 
 TEST(LruCacheTest, ZeroCapacityDisablesCaching) {
-  LruCache<int, int> cache(0);
+  DistanceCache cache(0);
   cache.Put(1, 10);
-  EXPECT_FALSE(cache.Get(1).has_value());
+  double v = 0.0;
+  EXPECT_FALSE(cache.Get(1, &v));
   EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.misses(), 1);
 }
 
 TEST(LruCacheTest, ClearKeepsCounters) {
-  LruCache<int, int> cache(4);
+  DistanceCache cache(4);
+  double v = 0.0;
   cache.Put(1, 10);
-  cache.Get(1);
+  cache.Get(1, &v);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 1);
-  EXPECT_FALSE(cache.Get(1).has_value());
+  EXPECT_FALSE(cache.Get(1, &v));
+}
+
+TEST(DistanceCacheTest, SizeNeverExceedsCapacity) {
+  // Includes the tiny and non-power-of-two capacities the eviction tests
+  // of CachedOracle use; the table fills its whole bound under churn.
+  for (const std::size_t cap : {1u, 2u, 3u, 5u, 7u, 8u, 100u, 1000u}) {
+    SCOPED_TRACE(cap);
+    DistanceCache cache(cap);
+    const std::size_t slots =
+        cache.num_sets() * static_cast<std::size_t>(cache.ways());
+    EXPECT_LE(slots, cap);
+    EXPECT_GT(2 * slots, cap);  // more than half the budget is usable
+    for (std::uint64_t k = 1; k <= 5000; ++k) {
+      cache.Put(k * 7919, static_cast<double>(k));
+      if (k % 97 == 0) {
+        ASSERT_LE(cache.size(), cap);
+      }
+    }
+    EXPECT_EQ(cache.size(), slots);
+  }
+}
+
+TEST(DistanceCacheTest, PerSetRecencyOrderOnEviction) {
+  DistanceCache cache(64);  // 16 sets of 4 ways
+  ASSERT_EQ(cache.ways(), 4);
+  ASSERT_EQ(cache.num_sets(), 16u);
+  // Six keys that share one set, and one key in another set.
+  std::vector<std::uint64_t> same;
+  std::uint64_t other = 0;
+  for (std::uint64_t k = 1; same.size() < 6 || other == 0; ++k) {
+    if (cache.SetOf(k) == cache.SetOf(1)) {
+      if (same.size() < 6) same.push_back(k);
+    } else if (other == 0) {
+      other = k;
+    }
+  }
+  cache.Put(other, -1.0);
+  for (int i = 0; i < 4; ++i) cache.Put(same[i], i);
+  double v = 0.0;
+  ASSERT_TRUE(cache.Get(same[0], &v));  // MRU order: 0 3 2 1
+  cache.Put(same[4], 4);                // evicts 1:   4 0 3 2
+  ASSERT_TRUE(cache.Get(same[2], &v));  //             2 4 0 3
+  cache.Put(same[5], 5);                // evicts 3:   5 2 4 0
+  EXPECT_FALSE(cache.Get(same[1], &v));
+  EXPECT_FALSE(cache.Get(same[3], &v));
+  for (const int i : {0, 2, 4, 5}) {
+    ASSERT_TRUE(cache.Get(same[static_cast<std::size_t>(i)], &v)) << i;
+    EXPECT_EQ(v, i);
+  }
+  // Eviction in one set never touches another.
+  ASSERT_TRUE(cache.Get(other, &v));
+  EXPECT_EQ(v, -1.0);
+  EXPECT_EQ(cache.hits(), 7);
+  EXPECT_EQ(cache.misses(), 2);
 }
 
 TEST(RngTest, DeterministicForSeed) {
